@@ -49,46 +49,84 @@ let profile ~drop ~corrupt ~duplicate =
 
 let seed_of i j k = Int64.of_int (((i * 3) + j) * 3 + k + 1)
 
+(* The strict wire entry points the sweep drives, each reduced to
+   what must match the calm run: the normalised answers, or for cover
+   traffic (which ships blocks but answers nothing) the block count. *)
+let entries sys =
+  let ids = Secure.Server.block_ids (System.server sys) in
+  let pad_of i = List.filteri (fun j _ -> (i + j) mod 5 = 0) ids in
+  let answered r =
+    Result.map (fun (answers, cost) -> [ Helpers.norm_trees answers ], cost) r
+  in
+  [ ("try_evaluate", fun faulty _ q -> answered (System.try_evaluate faulty q));
+    ( "try_evaluate_padded",
+      fun faulty i q -> answered (System.try_evaluate_padded faulty ~extra:(pad_of i) q) );
+    ( "fetch_blocks",
+      fun faulty i _ ->
+        Result.map
+          (fun cost -> [ [ string_of_int cost.System.blocks_returned ] ], cost)
+          (System.fetch_blocks faulty (pad_of i)) ) ]
+
 let sweep_exact_or_gave_up () =
   let sys = build () in
   let queries = query_set sys in
-  let baseline =
-    List.map (fun q -> Helpers.norm_trees (fst (System.evaluate sys q))) queries
-  in
   let gave_up = ref 0 and succeeded = ref 0 in
-  List.iteri
-    (fun i drop ->
+  List.iter
+    (fun (entry, run) ->
+      let baseline =
+        List.mapi
+          (fun i q ->
+            match run sys i q with
+            | Ok (expected, _) -> expected
+            | Error e ->
+              Alcotest.failf "%s failed on the perfect link: %s" entry
+                (Session.error_to_string e))
+          queries
+      in
       List.iteri
-        (fun j corrupt ->
+        (fun i drop ->
           List.iteri
-            (fun k duplicate ->
-              let faulty =
-                System.with_faults
-                  ~profile:(profile ~drop ~corrupt ~duplicate)
-                  ~seed:(seed_of i j k) sys
-              in
-              List.iter2
-                (fun q expected ->
-                  match System.try_evaluate faulty q with
-                  | Ok (answers, cost) ->
-                    incr succeeded;
-                    Alcotest.(check bool)
-                      (Printf.sprintf "exact under drop=%.2f corrupt=%.2f dup=%.2f: %s"
-                         drop corrupt duplicate (Xpath.Ast.to_string q))
-                      true
-                      (Helpers.norm_trees answers = expected);
-                    Alcotest.(check bool) "attempts >= 1" true
-                      (cost.System.attempts >= 1);
-                    Alcotest.(check bool) "strict path never degrades" false
-                      cost.System.degraded
-                  | Error (Session.Gave_up _) -> incr gave_up
-                  | Error e ->
-                    Alcotest.failf "non-terminal error escaped: %s"
-                      (Session.error_to_string e))
-                queries baseline)
+            (fun j corrupt ->
+              List.iteri
+                (fun k duplicate ->
+                  let faulty =
+                    System.with_faults
+                      ~profile:(profile ~drop ~corrupt ~duplicate)
+                      ~seed:(seed_of i j k) sys
+                  in
+                  List.iteri
+                    (fun n (q, expected) ->
+                      let before = System.session_stats faulty in
+                      let replayed_before =
+                        (System.endpoint_stats faulty).Session.replayed
+                      in
+                      match run faulty n q with
+                      | Ok (got, cost) ->
+                        incr succeeded;
+                        let what =
+                          Printf.sprintf "%s under drop=%.2f corrupt=%.2f dup=%.2f: %s"
+                            entry drop corrupt duplicate (Xpath.Ast.to_string q)
+                        in
+                        Alcotest.(check bool) ("exact " ^ what) true (got = expected);
+                        Alcotest.(check int) ("attempts = session delta " ^ what)
+                          ((System.session_stats faulty).Session.attempts
+                          - before.Session.attempts)
+                          cost.System.attempts;
+                        Alcotest.(check int) ("replays = endpoint delta " ^ what)
+                          ((System.endpoint_stats faulty).Session.replayed
+                          - replayed_before)
+                          cost.System.replays;
+                        Alcotest.(check bool) "strict path never degrades" false
+                          cost.System.degraded
+                      | Error (Session.Gave_up _) -> incr gave_up
+                      | Error e ->
+                        Alcotest.failf "non-terminal error escaped: %s"
+                          (Session.error_to_string e))
+                    (List.combine queries baseline))
+                rates)
             rates)
         rates)
-    rates;
+    (entries sys);
   (* The calm corner of the sweep alone guarantees successes; at these
      rates with 4 attempts the vast majority must go through. *)
   Alcotest.(check bool) "most calls succeed" true (!succeeded > 10 * !gave_up)
