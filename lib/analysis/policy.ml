@@ -82,10 +82,10 @@ let default =
        the key ring live strictly on the client side of the wire. *)
     boundary =
       ([ ( "lib/secure/server.ml",
-           [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser"; "Xmlcore.Sax";
+           [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
              "Xmlcore.Printer"; "Crypto.Keys" ] );
          ( "lib/secure/server.mli",
-           [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser"; "Xmlcore.Sax";
+           [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
              "Xmlcore.Printer"; "Crypto.Keys" ] ) ]
       (* The engine holds decrypted material only behind the opaque
          Secure.Client.answer alias and never derives keys: no module
@@ -94,7 +94,7 @@ let default =
       @ List.concat_map
           (fun name ->
             let forbidden =
-              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser"; "Xmlcore.Sax";
+              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
                 "Xmlcore.Printer"; "Crypto.Keys" ]
             in
             [ "lib/engine/" ^ name ^ ".ml", forbidden;
@@ -106,7 +106,7 @@ let default =
       @ List.concat_map
           (fun name ->
             let forbidden =
-              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser"; "Xmlcore.Sax";
+              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
                 "Xmlcore.Printer"; "Crypto.Keys" ]
             in
             [ "lib/obs/" ^ name ^ ".ml", forbidden;
@@ -118,7 +118,7 @@ let default =
       @ List.concat_map
           (fun name ->
             let forbidden =
-              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser"; "Xmlcore.Sax";
+              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
                 "Xmlcore.Printer"; "Crypto.Keys" ]
             in
             [ "lib/serve/" ^ name ^ ".ml", forbidden;
@@ -131,7 +131,7 @@ let default =
       @ List.concat_map
           (fun name ->
             let forbidden =
-              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser"; "Xmlcore.Sax";
+              [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
                 "Xmlcore.Printer"; "Crypto.Keys" ]
             in
             [ "lib/attack/" ^ name ^ ".ml", forbidden;
@@ -280,6 +280,7 @@ let default =
             "Obs.Label.sanitize" ];
         sinks =
           [ "Secure.Protocol.encode_request";
+            "Secure.Protocol.encode_any";
             "Secure.Protocol.encode_fetch";
             "Secure.Protocol.encode_padded";
             "Secure.Protocol.encode_response";

@@ -9,7 +9,10 @@
     collide. *)
 
 type t
-(** A key ring rooted at a master secret. *)
+(** A key ring rooted at a master secret.  Immutable: the fixed
+    subkeys (block cipher schedule, block MAC, tag, DSI and decoy keys)
+    are derived once by {!create}, so one ring may be read from several
+    domains at once. *)
 
 val create : ?suite:Cipher.suite -> master:string -> unit -> t
 (** [create ~master ()] builds the ring.  [suite] selects the block
@@ -18,14 +21,19 @@ val create : ?suite:Cipher.suite -> master:string -> unit -> t
 val suite : t -> Cipher.suite
 
 val derive : t -> string -> string
-(** [derive t label] is a 32-byte subkey bound to [label]. *)
+(** [derive t label] is a 32-byte subkey bound to [label], recomputed
+    (one HMAC) on every call; callers keep the result they need. *)
 
 val block_key : t -> string
 (** Key for CBC encryption of XML subtree blocks. *)
 
 val block_cipher : t -> Cipher.prepared
 (** Prepared (schedule-expanded) form of {!block_key} under the ring's
-    suite, cached. *)
+    suite. *)
+
+val block_mac_key : t -> string
+(** Key for the encrypt-then-MAC tag on every block
+    ([derive t "block-mac"]). *)
 
 val block_nonce : t -> ?generation:int -> block_id:int -> unit -> string
 (** Per-block CBC nonce, unique per (block, generation); keyed

@@ -177,24 +177,6 @@ let timed f =
   let result = f () in
   result, now_ms () -. start
 
-let plan_for t req squery =
-  match Lru.find t.plans req with
-  | Some plan -> plan, (if t.config.caches then Hit else Bypass)
-  | None ->
-    let plan = Planner.compile ~reorder:t.config.planner t.est squery in
-    Obs.Metric.incr t.c.plans_compiled;
-    Obs.Metric.add t.c.steps_reordered (Plan.reorder_span plan);
-    Lru.put t.plans req plan;
-    plan, (if t.config.caches then Miss else Bypass)
-
-let run_for t req plan squery =
-  match Lru.find t.results req with
-  | Some run -> run, (if t.config.caches then Hit else Bypass)
-  | None ->
-    let run = Exec.run (Secure.System.server t.system) plan squery in
-    Lru.put t.results req run;
-    run, (if t.config.caches then Miss else Bypass)
-
 type report = {
   plan : Plan.t;
   plan_outcome : outcome;
@@ -216,73 +198,83 @@ type report = {
 
 let server_decrypt_ms r = r.server_ms +. r.decrypt_ms
 
-(* One ledger round per engine evaluation, recorded on the bound
-   system's ledger.  Cache outcomes are server-visible: the plan cache
-   and result memo live server-side, and a client block-cache hit means
-   one fewer block crossed the wire. *)
 let one_if = function Hit -> 1 | Miss | Bypass -> 0
 let miss_if = function Miss -> 1 | Hit | Bypass -> 0
 
-let record_round t (response : Secure.Server.response) report =
-  let ledger = Secure.System.ledger t.system in
-  if Obs.Ledger.enabled ledger then
-    Obs.Ledger.record ledger
-      (Obs.Ledger.round "engine" ~bytes_up:report.request_bytes
-         ~bytes_down:(report.transmit_bytes - report.request_bytes)
-         ~intervals_touched:response.Secure.Server.candidate_intervals
-         ~btree_hits:response.Secure.Server.btree_hits
-         ~blocks_returned:report.blocks_returned
-         ~block_ids:
-           (List.map
-              (fun b -> b.Secure.Encrypt.id)
-              response.Secure.Server.blocks)
-         ~cache_hits:
-           (one_if report.plan_outcome + one_if report.result_outcome
-           + report.block_hits)
-         ~cache_misses:
-           (miss_if report.plan_outcome + miss_if report.result_outcome
-           + report.block_misses))
-
-let evaluate_report t query =
-  Obs.Metric.incr t.c.queries;
-  let trace = Secure.System.tracer t.system in
-  Obs.span trace "engine.evaluate" @@ fun () ->
-  let client = Secure.System.client t.system in
+(* Translation runs on the calling domain: OPESS translation memoises
+   inside each catalog's OPE instance. *)
+let translate t query =
   let squery, translate_ms =
-    timed (fun () -> Secure.Client.translate client query)
+    timed (fun () -> Secure.Client.translate (Secure.System.client t.system) query)
   in
-  let req = Secure.Protocol.encode_request squery in
+  query, squery, Secure.Protocol.encode_request squery, translate_ms
+
+(* The engine's one evaluation lane: plan (plan cache), execute (result
+   memo), decrypt through the block cache, post-process.  A cached
+   block is neither re-shipped nor re-decrypted, so both byte and
+   decrypt accounting follow it.  Every cache and counter touch goes
+   through [t.lock]; the expensive work — plan compilation, server
+   execution, block decryption, post-processing — runs outside it, so
+   pool workers may run lanes concurrently.  Pool workers pass
+   [traced:false]: the tracer and ledger are single-domain structures,
+   so the lane hands its ledger round back unrecorded and the caller
+   records it on the calling domain. *)
+let lane t ~traced (query, squery, req, translate_ms) =
+  let locked f = Parallel.Lock.protect t.lock f in
+  let span name f =
+    if traced then Obs.span (Secure.System.tracer t.system) name f else f ()
+  in
+  let outcome hit = if not t.config.caches then Bypass else if hit then Hit else Miss in
+  locked (fun () -> Obs.Metric.incr t.c.queries);
+  let client = Secure.System.client t.system in
   let (plan, plan_outcome), plan_ms =
-    Obs.span trace "engine.plan" (fun () -> timed (fun () -> plan_for t req squery))
+    span "engine.plan" @@ fun () ->
+    timed (fun () ->
+        match locked (fun () -> Lru.find t.plans req) with
+        | Some plan -> plan, outcome true
+        | None ->
+          let plan = Planner.compile ~reorder:t.config.planner t.est squery in
+          locked (fun () ->
+              Obs.Metric.incr t.c.plans_compiled;
+              Obs.Metric.add t.c.steps_reordered (Plan.reorder_span plan);
+              Lru.put t.plans req plan);
+          plan, outcome false)
   in
   let (run, result_outcome), server_ms =
-    Obs.span trace "engine.exec" (fun () -> timed (fun () -> run_for t req plan squery))
+    span "engine.exec" @@ fun () ->
+    timed (fun () ->
+        match locked (fun () -> Lru.find t.results req) with
+        | Some run -> run, outcome true
+        | None ->
+          let run = Exec.run (Secure.System.server t.system) plan squery in
+          locked (fun () -> Lru.put t.results req run);
+          run, outcome false)
   in
-  (* Client-side block cache: a cached block is neither re-shipped nor
-     re-decrypted, so both byte and decrypt accounting follow it. *)
-  let hits_before = Lru.hits t.blocks in
-  let misses_before = Lru.misses t.blocks in
+  let response = run.Exec.response in
   let shipped = ref 0 in
+  let block_hits = ref 0 in
+  let block_misses = ref 0 in
   let decrypted, decrypt_ms =
     timed (fun () ->
         List.map
           (fun b ->
             let id = b.Secure.Encrypt.id in
             let key = id, b.Secure.Encrypt.generation in
-            match Lru.find t.blocks key with
-            | Some tree -> id, tree
+            match locked (fun () -> Lru.find t.blocks key) with
+            | Some tree ->
+              incr block_hits;
+              id, tree
             | None ->
+              incr block_misses;
               shipped :=
                 !shipped
                 + String.length b.Secure.Encrypt.ciphertext
                 + Secure.Encrypt.block_header_bytes;
               let tree = Secure.Client.decrypt_block client b in
-              Lru.put t.blocks key tree;
+              locked (fun () -> Lru.put t.blocks key tree);
               id, tree)
-          run.Exec.response.Secure.Server.blocks)
+          response.Secure.Server.blocks)
   in
-  let block_hits = Lru.hits t.blocks - hits_before in
-  let block_misses = Lru.misses t.blocks - misses_before in
   let answers, postprocess_ms =
     timed (fun () -> Secure.Client.evaluate_with client ~decrypted query)
   in
@@ -292,19 +284,41 @@ let evaluate_report t query =
       result_outcome;
       steps = run.Exec.steps;
       request_bytes = String.length req;
-      block_hits;
-      block_misses;
+      block_hits = !block_hits;
+      block_misses = !block_misses;
       translate_ms;
       plan_ms;
       server_ms;
       transmit_bytes = String.length req + !shipped;
       decrypt_ms;
       postprocess_ms;
-      blocks_returned = List.length run.Exec.response.Secure.Server.blocks;
-      blocks_decrypted = block_misses;
+      blocks_returned = List.length response.Secure.Server.blocks;
+      blocks_decrypted = !block_misses;
       answer_count = List.length answers }
   in
-  record_round t run.Exec.response report;
+  (* One ledger round per engine evaluation, on the bound system's
+     ledger, built from wire and cache facts only.  Cache outcomes are
+     server-visible: the plan cache and result memo live server-side,
+     and a client block-cache hit means one fewer block crossed the
+     wire. *)
+  let record () =
+    let ledger = Secure.System.ledger t.system in
+    if Obs.Ledger.enabled ledger then
+      Obs.Ledger.record ledger
+        (Obs.Ledger.round "engine" ~bytes_up:(String.length req) ~bytes_down:!shipped
+           ~intervals_touched:response.Secure.Server.candidate_intervals
+           ~btree_hits:response.Secure.Server.btree_hits
+           ~blocks_returned:(List.length response.Secure.Server.blocks)
+           ~block_ids:(List.map (fun b -> b.Secure.Encrypt.id) response.Secure.Server.blocks)
+           ~cache_hits:(one_if plan_outcome + one_if result_outcome + !block_hits)
+           ~cache_misses:(miss_if plan_outcome + miss_if result_outcome + !block_misses))
+  in
+  answers, report, record
+
+let evaluate_report t query =
+  Obs.span (Secure.System.tracer t.system) "engine.evaluate" @@ fun () ->
+  let answers, report, record = lane t ~traced:true (translate t query) in
+  record ();
   answers, report
 
 let evaluate t query = fst (evaluate_report t query)
@@ -313,106 +327,17 @@ let evaluate t query = fst (evaluate_report t query)
    cache-independent, so result [i] is exactly [evaluate t queries.(i)];
    only the cache accounting can differ from a sequential replay
    (concurrent lanes may both miss on the same key and compile or
-   decrypt twice — the last put wins, and both values are equal).
-   Every cache and counter touch goes through [t.lock]; the expensive
-   work — plan compilation, server execution, block decryption,
-   post-processing — runs outside it.  Translation stays on the
-   calling domain: OPESS translation memoises inside each catalog's
-   OPE instance. *)
+   decrypt twice — the last put wins, and both values are equal). *)
 let evaluate_batch t queries =
-  let locked f = Parallel.Lock.protect t.lock f in
-  let lane (query, squery, req, translate_ms) =
-    locked (fun () -> Obs.Metric.incr t.c.queries);
-    let client = Secure.System.client t.system in
-    let (plan, plan_outcome), plan_ms =
-      timed (fun () ->
-          match locked (fun () -> Lru.find t.plans req) with
-          | Some plan -> plan, (if t.config.caches then Hit else Bypass)
-          | None ->
-            let plan = Planner.compile ~reorder:t.config.planner t.est squery in
-            locked (fun () ->
-                Obs.Metric.incr t.c.plans_compiled;
-                Obs.Metric.add t.c.steps_reordered (Plan.reorder_span plan);
-                Lru.put t.plans req plan);
-            plan, (if t.config.caches then Miss else Bypass))
-    in
-    let (run, result_outcome), server_ms =
-      timed (fun () ->
-          match locked (fun () -> Lru.find t.results req) with
-          | Some run -> run, (if t.config.caches then Hit else Bypass)
-          | None ->
-            let run = Exec.run (Secure.System.server t.system) plan squery in
-            locked (fun () -> Lru.put t.results req run);
-            run, (if t.config.caches then Miss else Bypass))
-    in
-    let shipped = ref 0 in
-    let block_hits = ref 0 in
-    let block_misses = ref 0 in
-    let decrypted, decrypt_ms =
-      timed (fun () ->
-          List.map
-            (fun b ->
-              let id = b.Secure.Encrypt.id in
-              let key = id, b.Secure.Encrypt.generation in
-              match locked (fun () -> Lru.find t.blocks key) with
-              | Some tree ->
-                incr block_hits;
-                id, tree
-              | None ->
-                incr block_misses;
-                shipped :=
-                  !shipped
-                  + String.length b.Secure.Encrypt.ciphertext
-                  + Secure.Encrypt.block_header_bytes;
-                let tree = Secure.Client.decrypt_block client b in
-                locked (fun () -> Lru.put t.blocks key tree);
-                id, tree)
-            run.Exec.response.Secure.Server.blocks)
-    in
-    let answers, postprocess_ms =
-      timed (fun () -> Secure.Client.evaluate_with client ~decrypted query)
-    in
-    ( answers,
-      { plan;
-        plan_outcome;
-        result_outcome;
-        steps = run.Exec.steps;
-        request_bytes = String.length req;
-        block_hits = !block_hits;
-        block_misses = !block_misses;
-        translate_ms;
-        plan_ms;
-        server_ms;
-        transmit_bytes = String.length req + !shipped;
-        decrypt_ms;
-        postprocess_ms;
-        blocks_returned = List.length run.Exec.response.Secure.Server.blocks;
-        blocks_decrypted = !block_misses;
-        answer_count = List.length answers },
-      run.Exec.response )
-  in
   match Secure.System.pool t.system with
   | Some p when Parallel.Pool.size p > 1 ->
-    let client = Secure.System.client t.system in
-    let translated =
-      Array.map
-        (fun q ->
-          let squery, translate_ms =
-            timed (fun () -> Secure.Client.translate client q)
-          in
-          q, squery, Secure.Protocol.encode_request squery, translate_ms)
-        queries
-    in
-    let results = Parallel.Pool.map p lane translated in
-    (* Ledger rounds are recorded after the deterministic merge, on the
-       calling domain — the tracer/ledger are single-domain structures
-       and pool workers never touch them. *)
+    let translated = Array.map (translate t) queries in
     Array.map
-      (fun (answers, report, response) ->
-        record_round t response report;
+      (fun (answers, report, record) ->
+        record ();
         answers, report)
-      results
-  | Some _ | None -> Array.map (fun q -> evaluate_report t q) queries
+      (Parallel.Pool.map p (lane t ~traced:false) translated)
+  | Some _ | None -> Array.map (evaluate_report t) queries
 
 let stats t =
   { Stats.queries = Obs.Metric.value t.c.queries;

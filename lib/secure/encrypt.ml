@@ -78,7 +78,7 @@ let block_mac ~keys ~id ?(generation = 0) ciphertext =
     else Printf.sprintf "%d#%d\x00%s" id generation ciphertext
   in
   String.sub
-    (Crypto.Hmac.mac ~key:(Crypto.Keys.derive keys "block-mac") input)
+    (Crypto.Hmac.mac ~key:(Crypto.Keys.block_mac_key keys) input)
     0 mac_tag_bytes
 
 let encrypt_one ~keys ?(generation = 0) doc ~id root =
@@ -150,14 +150,6 @@ let make_db ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags =
    the client side of the wire. *)
 let server_blocks db = db.blocks
 
-(* The derived-key memos inside [Keys] are mutable; touch every label
-   the per-block work needs before fanning out so parallel workers
-   only ever read them. *)
-let prewarm_block_keys ~keys =
-  ignore (Crypto.Keys.block_cipher keys);
-  ignore (Crypto.Keys.derive keys "block-mac");
-  ignore (Crypto.Keys.decoy_key keys)
-
 (* Assemble a db around a document and its (already encrypted) blocks:
    recompute the skeleton and the tag partition from the plaintext —
    pure bookkeeping, no cryptography.  Shared by fresh encryption and
@@ -180,7 +172,6 @@ let reassemble ~doc ~scheme ~blocks =
     ~plaintext_tags:(tags plaintext)
 
 let encrypt ?pool ~keys doc scheme =
-  prewarm_block_keys ~keys;
   let roots = Array.of_list scheme.Scheme.block_roots in
   let encrypt_at id root = encrypt_one ~keys doc ~id root in
   (* Each block's cipher+MAC depends only on (id, subtree): the nonce
@@ -199,7 +190,6 @@ let encrypt ?pool ~keys doc scheme =
    and nonces are keyed by (id, generation), so the pooled path is
    byte-identical to the sequential one. *)
 let reencrypt_blocks ?pool ~keys doc jobs =
-  prewarm_block_keys ~keys;
   let re (b, root) =
     encrypt_block ~keys ~generation:(b.generation + 1) doc ~id:b.id root
   in

@@ -118,13 +118,6 @@ val server_blocks : db -> block list
     material, which is why the secret-flow policy declares this
     projection a declassifier (see docs/STATIC_ANALYSIS.md). *)
 
-val prewarm_block_keys : keys:Crypto.Keys.t -> unit
-(** Derive (and thereby memoise) every subkey that per-block
-    encryption and decryption touch.  The memo table inside
-    {!Crypto.Keys} is mutable, so any caller about to decrypt blocks
-    on several domains must warm the ring first; after that, workers
-    only read it.  [encrypt] warms its ring itself. *)
-
 val decrypt_block : keys:Crypto.Keys.t -> block -> Xmlcore.Tree.t
 (** Verify, decrypt and parse one block; the decoy (if any) is removed.
     @raise Tampered when the authentication tag fails. *)

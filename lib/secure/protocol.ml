@@ -171,6 +171,11 @@ let encode_padded q extra =
   W.list b W.int extra;
   Buffer.contents b
 
+let encode_any = function
+  | Query q -> encode_request q
+  | Fetch ids -> encode_fetch ids
+  | Padded (q, extra) -> encode_padded q extra
+
 let decode_any data =
   try
     if String.length data = 0 then raise (Codec.Error "empty request");

@@ -37,6 +37,9 @@ type request =
 val encode_fetch : int list -> string
 val encode_padded : Squery.path -> int list -> string
 
+val encode_any : request -> string
+(** The encoder of each variant: [encode_any (Query q) = encode_request q]. *)
+
 val decode_any : string -> request
 (** Dispatching decoder used by the server endpoint.
     @raise Malformed on garbage. *)

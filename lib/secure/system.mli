@@ -218,9 +218,10 @@ val evaluate_batch : t -> Xpath.Ast.path array -> (Xmlcore.Tree.t list * cost) a
 
 val evaluate_union : t -> Xpath.Ast.path list -> Xmlcore.Tree.t list * cost
 (** Union query ([p1 | p2 | ...], cf. {!Xpath.Parser.parse_union}): one
-    server round per branch, a single combined decryption and a
-    node-deduplicated union evaluation.  [translate_ms] is folded into
-    [server_ms] in the reported cost. *)
+    server exchange per branch, a single combined decryption and a
+    node-deduplicated union evaluation.  The branches make one ledger
+    round (label ["union"]) whose shipment is the id-ordered union of
+    the branches' blocks. *)
 
 val try_evaluate_union :
   t -> Xpath.Ast.path list -> (Xmlcore.Tree.t list * cost, Session.error) result
@@ -292,9 +293,15 @@ val rotate : t -> new_master:string -> t * setup_cost
     always-secure full re-host instead. *)
 
 type delta_cost = {
-  plan_ms : float;               (** edit planning + correspondence walk *)
+  plan_ms : float;
+      (** edit planning, correspondence walk, SC re-check and the
+          touched-block set *)
   reencrypt_ms : float;          (** touched-block re-encryption *)
   patch_ms : float;              (** metadata surgery *)
+  rebuild_ms : float;
+      (** db reassembly, client/server/link rebuild and the delta hooks;
+          on a fallback, the re-host beyond its encryption and metadata.
+          The four phases tile the {!apply_delta} call. *)
   blocks_touched : int;          (** blocks re-encrypted *)
   blocks_dropped : int;          (** blocks removed with deleted subtrees *)
   blocks_total : int;            (** blocks before the edit *)

@@ -235,6 +235,35 @@ let batch_matches_one_by_one () =
             cost.System.degraded)
         batch)
 
+(* A pooled batch records what crossed each lane's wire: its ledger
+   rounds equal those of evaluating the queries one at a time, field
+   for field, apart from the label and the replay count (lane
+   endpoints are private, so a lane never sees a replay). *)
+let batch_ledger_matches_sequential () =
+  let doc = Workload.Health.doc () in
+  let scs = Workload.Health.constraints () in
+  with_pool ~domains:2 (fun pool ->
+      let par, _ = System.setup ~pool doc scs Scheme.Opt in
+      let ledger = System.ledger par in
+      Obs.Ledger.set_enabled ledger true;
+      let qs = Array.of_list (queries ()) in
+      let rounds run =
+        Obs.Ledger.clear ledger;
+        run ();
+        List.map
+          (fun r -> Obs.Ledger.round_to_json { r with Obs.Ledger.label = ""; replays = 0 })
+          (Obs.Ledger.rounds ledger)
+      in
+      let batch = rounds (fun () -> ignore (System.evaluate_batch par qs)) in
+      let sequential = rounds (fun () -> Array.iter (fun q -> ignore (System.evaluate par q)) qs) in
+      Alcotest.(check int) "one round per query" (Array.length qs) (List.length batch);
+      List.iteri
+        (fun i (b, s) ->
+          Alcotest.(check string)
+            ("batch round = evaluate round: " ^ List.nth query_strings i)
+            (Obs.Json.to_string s) (Obs.Json.to_string b))
+        (List.combine batch sequential))
+
 let engine_batch_matches_engine () =
   let doc = Workload.Health.doc () in
   let scs = Workload.Health.constraints () in
@@ -295,6 +324,8 @@ let () =
         [ Alcotest.test_case "hosting across schemes" `Quick
             hosting_is_deterministic_across_schemes;
           Alcotest.test_case "batch = one-by-one" `Quick batch_matches_one_by_one;
+          Alcotest.test_case "batch ledger = sequential ledger" `Quick
+            batch_ledger_matches_sequential;
           Alcotest.test_case "engine batch" `Quick engine_batch_matches_engine;
           Alcotest.test_case "after update and rotate" `Quick
             determinism_survives_update_and_rotate ] ) ]

@@ -175,59 +175,6 @@ let serialized_size_agrees =
       Xmlcore.Printer.serialized_size t
       = String.length (Xmlcore.Printer.tree_to_string t))
 
-(* --- SAX ----------------------------------------------------------- *)
-
-let sax_agrees_with_dom =
-  QCheck.Test.make ~name:"SAX tree = DOM tree" ~count:200 Helpers.arbitrary_doc
-    (fun doc ->
-      let s = Xmlcore.Printer.doc_to_string doc in
-      Tree.equal (Xmlcore.Sax.tree_of_events (Xmlcore.Sax.parse s))
-        (Xmlcore.Parser.parse s))
-
-let sax_census_agrees =
-  QCheck.Test.make ~name:"SAX census = Stats census" ~count:100
-    Helpers.arbitrary_doc
-    (fun doc ->
-      let s = Xmlcore.Printer.doc_to_string doc in
-      Xmlcore.Sax.census s = Xmlcore.Stats.tag_census (Xmlcore.Parser.parse_doc s))
-
-let sax_fuzz_total =
-  QCheck.Test.make ~name:"SAX parser is total" ~count:1000 QCheck.string
-    (fun s ->
-      match Xmlcore.Sax.parse s (fun _ -> ()) with
-      | () -> true
-      | exception Xmlcore.Sax.Parse_error _ -> true)
-
-let sax_channel () =
-  (* Channel parsing with a tiny chunk size stresses the window. *)
-  let doc = Workload.Health.generate ~patients:30 () in
-  let s = Xmlcore.Printer.doc_to_string doc in
-  let path = Filename.temp_file "sax" ".xml" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc s;
-      close_out oc;
-      let ic = open_in_bin path in
-      let tree =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            Xmlcore.Sax.tree_of_events (Xmlcore.Sax.parse_channel ~chunk_bytes:97 ic))
-      in
-      Alcotest.(check bool) "channel = string parse" true
-        (Tree.equal tree (Xmlcore.Parser.parse s)))
-
-let sax_events_shape () =
-  let events = ref [] in
-  Xmlcore.Sax.parse {|<a k="v"><b>hi</b><c/></a>|} (fun e -> events := e :: !events);
-  (match List.rev !events with
-   | [ Xmlcore.Sax.Start_element "a"; Attribute ("k", "v"); Start_element "b";
-       Text "hi"; End_element "b"; Start_element "c"; End_element "c";
-       End_element "a" ] -> ()
-   | _ -> Alcotest.fail "unexpected event sequence")
-
 (* --- Stats ------------------------------------------------------- *)
 
 let stats_histogram () =
@@ -285,11 +232,6 @@ let () =
         Alcotest.test_case "escaping" `Quick printer_escaping
         :: List.map QCheck_alcotest.to_alcotest
              [ roundtrip_prop; roundtrip_indented_prop; serialized_size_agrees ] );
-      ( "sax",
-        [ Alcotest.test_case "event shape" `Quick sax_events_shape;
-          Alcotest.test_case "channel input" `Quick sax_channel ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ sax_agrees_with_dom; sax_census_agrees; sax_fuzz_total ] );
       ( "stats",
         [ Alcotest.test_case "histogram" `Quick stats_histogram;
           Alcotest.test_case "census" `Quick stats_census;
